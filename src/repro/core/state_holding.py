@@ -143,7 +143,6 @@ def _detecting_ability(
         time_limit=config.time_limit,
         batched=config.batched,
         batch_lanes=config.batch_lanes,
-        lanes=config.lanes,
     )
     generator = BuiltinGenerator(
         circuit, remaining_faults, swa_func, config=probe_cfg

@@ -9,9 +9,8 @@ upgrade in place)::
                    'bench' | ...), label, the campaign-parameter
                    fingerprint (:func:`repro.resilience.checkpoint.
                    fingerprint_of` of the campaign config), the
-                   code-version hash (:func:`code_hash`), kernel backend,
-                   executor, argv, UTC start/finish stamps, status,
-                   exit code
+                   code-version hash (:func:`code_hash`), executor,
+                   argv, UTC start/finish stamps, status, exit code
     rows           child: one completed campaign/table row per record
                    (key, index, status ok|failed|resumed, elapsed,
                    canonical-JSON payload)
@@ -25,6 +24,10 @@ upgrade in place)::
                    ``batch`` id and stamped with the code hash and UTC
                    time -- the history ``repro-eda db gate`` regresses
                    against
+
+``runs.kernel`` and ``bench_samples.kernel`` are nullable columns of the
+v1 layout that nothing writes any more; migrations never drop a column,
+so they stay in place and read back as ``NULL`` on new records.
 
 Durability and concurrency: connections run in WAL mode with a busy
 timeout, every write happens inside one transaction, and transient
@@ -49,7 +52,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 #: Environment variable carrying the active database path across
-#: processes (exported by the CLI like ``REPRO_KERNEL``, and shipped to
+#: processes (exported by the CLI like ``REPRO_CACHE_DIR``, and shipped to
 #: remote workers in the executor config handshake like the cache dir).
 ENV_VAR = "REPRO_DB"
 
@@ -235,7 +238,7 @@ def flatten_bench(payload: Mapping[str, Any]) -> list[tuple[str, str, str, float
     """Flatten a ``bench_kernel.py`` payload into bench-sample tuples.
 
     Walks every top-level dict section (``sequence_simulation``,
-    ``array_kernel``, ...), handling both per-circuit nesting and flat
+    ``fault_grading``, ...), handling both per-circuit nesting and flat
     single-subject sections; non-numeric leaves and the bookkeeping keys
     (``workload``, ``benchmark``, timestamps) are skipped.
     """
@@ -320,21 +323,19 @@ class ExperimentDB:
         kind: str,
         label: str,
         fingerprint: str | None = None,
-        kernel: str | None = None,
         executor: str | None = None,
         argv: Sequence[str] | None = None,
     ) -> int:
         """Insert a ``running`` run row; returns its id."""
         with self._write():
             cur = self._conn.execute(
-                "INSERT INTO runs (kind, label, fingerprint, code_hash, kernel,"
-                " executor, argv, started_utc) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                "INSERT INTO runs (kind, label, fingerprint, code_hash,"
+                " executor, argv, started_utc) VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (
                     kind,
                     label,
                     fingerprint,
                     code_hash(),
-                    kernel,
                     executor,
                     json.dumps(list(argv)) if argv is not None else None,
                     utc_now(),
@@ -344,7 +345,7 @@ class ExperimentDB:
 
     def annotate_run(self, run_id: int, **fields: Any) -> None:
         """Update late-bound run columns (fingerprint, executor, ...)."""
-        allowed = {"fingerprint", "executor", "kernel", "label"}
+        allowed = {"fingerprint", "executor", "label"}
         unknown = set(fields) - allowed
         if unknown:
             raise ValueError(f"cannot annotate run fields: {sorted(unknown)}")
@@ -452,7 +453,6 @@ class ExperimentDB:
         self,
         payload: Mapping[str, Any],
         quick: bool = False,
-        kernel: str | None = None,
     ) -> int:
         """Record one bench payload as a flattened sample batch; returns its id.
 
@@ -470,10 +470,10 @@ class ExperimentDB:
             batch = int(row[0])
             self._conn.executemany(
                 "INSERT INTO bench_samples (batch, recorded_utc, code_hash,"
-                " kernel, quick, section, subject, metric, value)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " quick, section, subject, metric, value)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 [
-                    (batch, stamp, chash, kernel, int(quick)) + sample
+                    (batch, stamp, chash, int(quick)) + sample
                     for sample in samples
                 ],
             )
@@ -616,7 +616,7 @@ class ExperimentDB:
         """
         sql = (
             "SELECT m.run_id, r.started_utc, r.code_hash, r.kind, r.label,"
-            " r.kernel, r.executor, m.kind AS metric_kind, m.value, m.count,"
+            " r.executor, m.kind AS metric_kind, m.value, m.count,"
             " m.total, m.p50 FROM metrics m JOIN runs r ON r.id = m.run_id"
             " WHERE m.name = ? ORDER BY m.run_id"
         )

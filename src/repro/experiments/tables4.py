@@ -270,9 +270,9 @@ def run_table_4_3(
             "table": "4.3",
             "targets": tuple(targets),
             "drivers": tuple(drivers),
-            # Normalize the pure-throughput knobs: shards/jobs/lanes do
-            # not change any row, so journals stay resumable across them.
-            "config": replace(config, grade_shards=1, grade_jobs=None, lanes=None),
+            # Normalize the pure-throughput knobs: shards/jobs do not
+            # change any row, so journals stay resumable across them.
+            "config": replace(config, grade_shards=1, grade_jobs=None),
             "n_sequences": n_sequences,
             "func_length": func_length,
         }

@@ -27,9 +27,8 @@ section (``fsim.shard.*``) carries the fault-parallel grading story,
 :mod:`repro.cache`, and "execution plane" (``executor.*``) the dispatch
 story of :mod:`repro.exec` -- tasks submitted/degraded, the queue-depth
 gauge, and the per-backend ``dispatch_ms`` latency histogram.  The
-"kernel backends" section (``kernel.*``) tracks word vs array kernel
-usage (:mod:`repro.core.kernel`): builds and invocations per backend and
-the lanes-per-invocation histogram.
+"word kernel" section (``kernel.*``) counts word-kernel builds and
+invocations and carries the lanes-per-invocation histogram.
 
 The formatter is read-only and stdlib-only; golden-string tests pin the
 layout (``tests/test_obs.py``).
@@ -50,7 +49,7 @@ SECTIONS: tuple[tuple[str, str], ...] = (
     ("compiled circuit IR", "compile."),
     ("artifact cache", "cache."),
     ("packed word kernel", "bitsim."),
-    ("kernel backends", "kernel."),
+    ("word kernel", "kernel."),
     ("test pattern generation", "tpg."),
     ("LFSR stepping", "lfsr."),
     ("TPDF pipeline", "tpdf."),

@@ -5,7 +5,8 @@ simulation but must accept *exactly* the segments the one-seed-at-a-time
 loop accepts: same seeds in the same order, same truncated lengths, same
 coverage, same peak SWA, and the same number of seeds drawn from the RNG
 stream.  These tests pin that contract on two circuits (s298, s953),
-with and without an SWA bound, and under state holding.
+with and without an SWA bound, under state holding, and at the full
+64-lane batch width.
 """
 
 import pytest
@@ -70,6 +71,19 @@ class TestBatchedEqualsScalar:
         hold = tuple(c.state_lines[:2])
         scalar, batched = _run_pair(c, faults, 28.0, hold_set=hold)
         _assert_identical(scalar, batched)
+
+    def test_full_64_lane_batches(self, name):
+        """Full 64-lane batches reproduce the scalar stream too.
+
+        With ``R = 130`` the first trial of every segment packs 64 lanes
+        (the other cases here use ``R = 8``, so their batches never exceed
+        8 lanes).
+        """
+        c = get_circuit(name)
+        faults = collapsed_transition_faults(c)
+        scalar, batched = _run_pair(c, faults, None, r_limit=130)
+        _assert_identical(scalar, batched)
+        assert batched[0].stats.packed_batches > 0
 
 
 class TestBatchPolicy:

@@ -50,7 +50,11 @@ def snapshot_with_metrics() -> dict:
 
 
 def bench_payload(speedup: float = 8.0) -> dict:
-    """A minimal bench payload with one gated and one ungated metric."""
+    """A minimal bench payload with gated and ungated metrics.
+
+    ``speedup`` drives one gated pair (``builtin_generation.speedup``)
+    and one pair no gate watches (``array_kernel.per_lane_speedup``).
+    """
     return {
         "benchmark": "kernel",
         "code_hash": "cafe0123cafe0123",
@@ -58,6 +62,9 @@ def bench_payload(speedup: float = 8.0) -> dict:
         "workload": {"repeats": 2},
         "array_kernel": {
             "s1423": {"lines": 657, "per_lane_speedup": speedup},
+        },
+        "builtin_generation": {
+            "s1423": {"lines": 657, "speedup": speedup},
         },
         "fault_grading": {"circuit": "b14", "speedup": 500.0, "n_tests": 64},
     }
@@ -122,7 +129,7 @@ class TestRunsAndRows:
         fp = fingerprint_of(params)
         with ExperimentDB(tmp_path / "e.db") as db:
             run_id = db.begin_run(
-                "table", "4.3", fingerprint=fp, kernel="word", executor="pool"
+                "table", "4.3", fingerprint=fp, executor="pool"
             )
             db.finish_run(run_id)
             run = db.run(run_id)
@@ -266,7 +273,7 @@ class TestBenchAndGate:
         assert isinstance(result, GateResult)
         assert result.ok
         by_label = {c.label: c for c in result.checks}
-        assert by_label["array_kernel.s1423.per_lane_speedup"].status == "pass"
+        assert by_label["builtin_generation.s1423.speedup"].status == "pass"
 
     def test_gate_fails_on_20_percent_regression(self, tmp_path):
         with ExperimentDB(tmp_path / "e.db") as db:
@@ -275,7 +282,7 @@ class TestBenchAndGate:
             result = expdb.gate(db, current=bench_payload(8.0 * 0.8))
         assert not result.ok
         failed = [c for c in result.checks if c.status == "fail"]
-        assert [c.label for c in failed] == ["array_kernel.s1423.per_lane_speedup"]
+        assert [c.label for c in failed] == ["builtin_generation.s1423.speedup"]
         assert "FAIL" in result.report()
 
     def test_gate_latest_batch_judged_against_prior_only(self, tmp_path):
@@ -346,6 +353,46 @@ class TestCliDb:
         assert "PASS" in capsys.readouterr().out
         assert main(["db", "gate", "--db", path, "--input", str(bad)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_v2_file_with_kernel_values_records_and_renders(self, tmp_path, capsys):
+        # Files written before the kernel selector was removed carry
+        # values in the nullable runs.kernel / bench_samples.kernel
+        # columns; new records leave them NULL and every reader copes.
+        path = tmp_path / "v2.db"
+        conn = sqlite3.connect(path)
+        for step in MIGRATIONS:
+            for statement in step:
+                conn.execute(statement)
+        conn.execute("PRAGMA user_version = 2")
+        conn.execute(
+            "INSERT INTO runs (kind, label, code_hash, kernel, started_utc,"
+            " status) VALUES ('table', '4.3', 'deadbeef00000000', 'array',"
+            " '2026-01-01T00:00:00Z', 'ok')"
+        )
+        conn.execute(
+            "INSERT INTO metrics (run_id, name, kind, value)"
+            " VALUES (1, 'gen.seeds_evaluated', 'counter', 64.0)"
+        )
+        conn.execute(
+            "INSERT INTO bench_samples (batch, recorded_utc, code_hash, kernel,"
+            " section, subject, metric, value) VALUES (1,"
+            " '2026-01-01T00:00:00Z', 'deadbeef00000000', 'array',"
+            " 'fault_grading', 'b14', 'speedup', 500.0)"
+        )
+        conn.commit()
+        conn.close()
+        with ExperimentDB(path) as db:
+            run_id = db.begin_run("table", "4.3", executor="inprocess")
+            db.finish_run(run_id, snapshot=snapshot_with_metrics())
+            assert db.record_bench(bench_payload(8.0)) == 2
+            _, kernels = db.query("SELECT kernel FROM runs ORDER BY id")
+        assert kernels == [("array",), (None,)]
+        assert main(["db", "show", "--db", str(path)]) == 0
+        assert "executor" in capsys.readouterr().out
+        assert main(["db", "trend", "--metric", "gen.seeds_evaluated",
+                     "--db", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "64" in out and "128" in out
 
     def test_db_without_path_is_usage_error(self, capsys):
         assert main(["db", "runs"]) == 2

@@ -625,7 +625,7 @@ class TestExpdbParity:
         cli_masked, _ = _masked_show(capsys, cli_db)
         service_masked, service_full = _masked_show(capsys, service_db)
         # Identical kind/label/status/exit_code/fingerprint/code_hash/
-        # kernel/executor and row payloads: the only differences are the
+        # executor and row payloads: the only differences are the
         # masked identity/wall-clock fields and the argv provenance.
         assert service_masked == cli_masked
         assert f'{"argv":13s} ["service:{doc["id"]}"]' in service_full
