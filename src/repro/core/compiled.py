@@ -15,10 +15,13 @@ into flat integer-indexed structures that all simulators share:
 * a levelized evaluation schedule as parallel arrays (``op_codes``,
   ``fanin_offsets``, ``fanin_indices``) plus a fused per-gate tuple form
   the interpreters iterate directly;
-* precomputed per-line fanout cones (the PPSFP single-fault-injection
-  primitive) together with the observation points -- primary outputs and
-  next-state lines -- that each cone can reach, so fault grading checks
-  only the observation lines a fault can possibly affect;
+* fanout adjacency in schedule-position space, over which PPSFP
+  single-fault injection propagates event-driven: only the fanouts of
+  lines whose word diverges are evaluated, in schedule (topological)
+  order, and propagation stops where the fault effect dies out;
+* per-line fanout cones, built on demand, together with the observation
+  points -- primary outputs and next-state lines -- that each cone can
+  reach, so fault grading skips faults that can reach none;
 * a per-:class:`Circuit` memoized compile cache keyed on the netlist's
   mutation counter (:attr:`Circuit.version`), so repeated simulator
   construction and every ``simulate_*`` call reuse one compiled instance
@@ -37,6 +40,7 @@ kernel is in turn tested against the scalar kernel.  Layering::
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Mapping, Sequence
 
 from repro import cache as artifact_cache
@@ -186,7 +190,7 @@ class CompiledCircuit:
         self._schedule = schedule
 
         # Fanout adjacency in *schedule-position* space: for each line
-        # index, the schedule positions of the gates reading it.
+        # index, the schedule positions of the gates reading it, ascending.
         fanout: list[list[int]] = [[] for _ in range(self.num_lines)]
         for g, (_, _, _, fis) in enumerate(schedule):
             for f in set(fis):
@@ -392,7 +396,7 @@ class CompiledCircuit:
         return namespace["kernel"]
 
     # ------------------------------------------------------------------
-    # Fanout cones (single-fault injection)
+    # Fanout cones and single-fault injection
     # ------------------------------------------------------------------
     def cone(
         self, line_index: int
@@ -434,17 +438,40 @@ class CompiledCircuit:
         forced_word: int,
         mask: int,
     ) -> dict[int, int]:
-        """Re-evaluate the fanout cone of a line with its value forced.
+        """Propagate a forced line value through the gates it actually disturbs.
 
         Returns a sparse ``{line_index: word}`` map holding only the forced
-        line and cone gates that *diverge* from their good value -- the
-        PPSFP single-fault-injection primitive.  Downstream gates read
-        converged lines through ``good_values``.
+        line and the fanout gates that *diverge* from their good value --
+        the PPSFP single-fault-injection primitive.  Event-driven: only the
+        fanouts of a diverging line are queued, in a min-heap keyed on
+        schedule position (already topological), so a gate is evaluated
+        after every fanin that can change and the walk stops where the
+        fault effect dies out.  Positions pop in nondecreasing order and
+        are only ever pushed by smaller ones, so a gate queued twice pops
+        twice in a row and the repeat is skipped.
+
+        ``good_values`` must be a consistent fault-free frame (an
+        :meth:`eval_words` result): queued gates read converged lines
+        through it, and gates never queued are taken to equal it.  The
+        static-cone walk this replaces is kept as the test oracle
+        :func:`repro.logic.reference.faulty_cone_words_reference`.
         """
-        entries, _ = self.cone(line_index)
-        faulty: dict[int, int] = {line_index: forced_word & mask}
+        forced = forced_word & mask
+        faulty: dict[int, int] = {line_index: forced}
+        if forced == good_values[line_index]:
+            return faulty
+        fanout = self._fanout_positions
+        schedule = self._schedule
+        # Fanout lists are built in ascending schedule order: a valid heap.
+        heap = list(fanout[line_index])
         get = faulty.get
-        for out, family, inv, fis in entries:
+        last = -1
+        while heap:
+            pos = heappop(heap)
+            if pos == last:
+                continue
+            last = pos
+            out, family, inv, fis = schedule[pos]
             if family == _FAM_AND:
                 w = mask
                 for f in fis:
@@ -468,6 +495,8 @@ class CompiledCircuit:
                 w ^= mask
             if w != good_values[out]:
                 faulty[out] = w
+                for nxt in fanout[out]:
+                    heappush(heap, nxt)
         return faulty
 
 

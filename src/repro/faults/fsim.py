@@ -11,10 +11,12 @@ two-frame semantics (Section 1.2): a ``v -> v'`` transition fault at line
 
 Simulation is PPSFP-style: all tests of a chunk are packed into integer
 words (one bit lane per test), the fault-free frames are evaluated once,
-and each fault re-evaluates only its fanout cone.  Everything runs in the
-line-index space of the compiled circuit IR (:mod:`repro.core.compiled`):
-frames are flat arrays, cones are precompiled schedule slices, and each
-fault checks only the observation lines its cone can reach.
+and each fault is propagated event-driven from its line through the
+gates whose word actually diverges.  Everything runs in the line-index
+space of the compiled circuit IR (:mod:`repro.core.compiled`): frames
+are flat arrays, a fault whose fanout cone reaches no observation line
+is skipped unsimulated, and detection is read from the diverged lines
+that are observation points.
 
 Fault-parallel grading: :class:`FaultGrader` optionally partitions its
 undetected-fault frontier into contiguous *shards* and grades them over
@@ -133,6 +135,7 @@ class TransitionFaultSimulator:
         good1 = _pack_frame(cc, [t.v1 for t in tests], [t.s1 for t in tests], mask)
         good2 = _pack_frame(cc, [t.v2 for t in tests], [t.s2 for t in tests], mask)
         index = cc.index
+        observed = cc._observed
         out: dict[TransitionFault, int] = {}
         # Local tallies, folded into the registry once per chunk -- the
         # per-fault loop is the PPSFP hot path.
@@ -153,15 +156,10 @@ class TransitionFaultSimulator:
                 continue
             forced = mask if fault.stuck_value == 1 else 0
             cones_run += 1
-            faulty = cc.faulty_cone_words(good2, g, forced, mask)
-            get = faulty.get
             det = 0
-            for obs in cone_obs:
-                fv = get(obs)
-                if fv is not None:
-                    det |= fv ^ good2[obs]
-                    if det & act == act:
-                        break
+            for i, fv in cc.faulty_cone_words(good2, g, forced, mask).items():
+                if i in observed:
+                    det |= fv ^ good2[i]
             out[fault] = det & act
         if OBS.enabled:
             OBS.count("fsim.ppsfp_passes")

@@ -1,18 +1,20 @@
 """Bit-parallel logic simulation.
 
-Two fast paths built on Python's arbitrary-precision integers, where bit
+Three fast paths built on Python's arbitrary-precision integers, where bit
 position ``t`` of every line's word carries pattern/lane ``t``:
 
 * :class:`PatternSimulator` -- evaluates the combinational core for many
-  independent patterns at once, with a fanout-cone re-evaluation API used
-  by single-fault-injection fault simulation (PPSFP-style,
+  independent patterns at once, with a fault-injection API used by
+  single-fault-injection fault simulation (PPSFP-style,
   :mod:`repro.faults.fsim`).
 * :func:`simulate_sequences_packed` -- cycle-accurate functional
   simulation of up to 64 *independent sequences* in parallel (each bit
   lane has its own initial state and its own primary input sequence).
-  Per-cycle, per-lane switching activity is extracted with a vectorised
-  numpy popcount, which is what makes Chapter 4's SWA estimation over many
-  LFSR seeds tractable in pure Python.
+  Per-cycle, per-lane switching activity is counted on byte planes for
+  runs of up to 8 lanes (every word is one byte of a packed integer, so
+  a lane's toggles are one ``int.bit_count``) and with a numpy
+  ``unpackbits`` popcount for wider runs, which is what makes Chapter 4's
+  SWA estimation over many LFSR seeds tractable in pure Python.
 * :func:`simulate_packed_words` -- the same multi-lane kernel fed with
   *pre-packed* per-input words (one word per input per cycle, bit ``t`` =
   lane ``t``), every lane starting from one shared state, with optional
@@ -20,7 +22,7 @@ position ``t`` of every line's word carries pattern/lane ``t``:
   Fig 4.9 seed-trial loop (:mod:`repro.core.builtin_gen`), consuming
   :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch` output directly.
 
-Both paths evaluate through the compiled circuit IR
+All three evaluate through the compiled circuit IR
 (:mod:`repro.core.compiled`): one integer-indexed schedule shared with the
 scalar simulator, compiled once per netlist version.  The scalar
 three-valued simulator (:mod:`repro.logic.simulator`) is the semantic
@@ -31,7 +33,8 @@ property-check agreement.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -98,7 +101,7 @@ def pack_columns_indexed(
 
 
 class PatternSimulator:
-    """Bit-parallel combinational simulator with fanout-cone fault injection.
+    """Bit-parallel combinational simulator with single-fault injection.
 
     Compiles the circuit once (through the memoized compile cache) and
     evaluates packed words over the integer-indexed schedule.  The
@@ -154,10 +157,10 @@ class PatternSimulator:
         forced_word: int,
         n_patterns: int,
     ) -> dict[str, int]:
-        """Re-evaluate the fanout cone of ``line`` with its value forced.
+        """Propagate a forced value of ``line`` through its fanout.
 
-        Returns a sparse map holding values only for ``line`` and the cone
-        gates that diverge; lines absent from the map keep their good
+        Returns a sparse map holding values only for ``line`` and the
+        fanout gates that diverge; lines absent from the map keep their good
         value.  This is the single-fault-injection primitive of PPSFP fault
         simulation (fault grading itself uses the index-space form,
         :meth:`repro.core.compiled.CompiledCircuit.faulty_cone_words`).
@@ -176,27 +179,34 @@ class PackedSequenceResult:
 
     Attributes
     ----------
-    states:
-        ``L+1`` entries; each maps a state line to its packed word.
+    state_words:
+        The per-cycle state rows: ``L+1`` rows of per-state-line packed
+        words in scan order -- the form the batched generation loop
+        slices lanes out of.
     switching_counts:
         Array of shape ``(L, n_lanes)``: number of lines that toggled in
         each cycle, per lane.  Row 0 is all zeros (undefined, see
         Section 4.4).
     n_lanes:
         Number of packed sequences.
-    final_line_values:
-        Line valuation words of the last simulated cycle.
-    state_words:
-        The raw per-cycle state rows (``L+1`` rows of per-state-line
-        packed words, scan order) that :attr:`states` wraps -- the form
-        the batched generation loop slices lanes out of.
+    state_lines:
+        State line names, in the order of a :attr:`state_words` row.
     """
 
-    states: list[dict[str, int]]
+    state_words: list[list[int]]
     switching_counts: np.ndarray
     n_lanes: int
-    final_line_values: dict[str, int]
-    state_words: list[list[int]] = field(default_factory=list)
+    state_lines: tuple[str, ...] = ()
+
+    @cached_property
+    def states(self) -> list[dict[str, int]]:
+        """``L+1`` entries; each maps a state line to its packed word.
+
+        Built from :attr:`state_words` on first access: the simulation
+        loop itself keeps only the rows.
+        """
+        lines = self.state_lines
+        return [dict(zip(lines, row)) for row in self.state_words]
 
     def switching_percent(self, n_lines: int) -> np.ndarray:
         """Switching counts converted to the paper's percentage metric."""
@@ -234,6 +244,11 @@ def unpack_lane_bits(rows: Sequence[Sequence[int]], n_lanes: int) -> np.ndarray:
     return bits[:, :, :n_lanes]
 
 
+#: Widest run whose words all fit in one byte: the switching counts of
+#: such a run come from byte planes of one packed big integer.
+BYTE_PLANE_LANES = 8
+
+
 def _run_packed(
     cc,
     state_words: list[int],
@@ -250,41 +265,61 @@ def _run_packed(
     state-variable positions skip capture at every cycle ``i`` with
     ``i % hold_period == 0`` -- the packed analogue of
     :func:`repro.core.state_holding.simulate_with_holding`.
+
+    Per-lane toggle counts: up to :data:`BYTE_PLANE_LANES` lanes, a
+    cycle's counted words are the bytes of one integer, so lane ``l``'s
+    toggles are the popcount of bit ``l`` of every byte of
+    ``prev ^ cur``.  Wider runs unpack the XOR of two ``uint64`` arrays
+    into bits and sum each bit position.
     """
     mask = (1 << n_lanes) - 1
     n_inputs = cc.n_inputs
     n_sources = cc.n_sources
-    state_lines = cc.circuit.state_lines
     ns_indices = cc.next_state_indices
     n_lines = cc.num_lines if count_idx is None else len(count_idx)
     length = len(pi_word_rows)
     t_start = time.perf_counter() if OBS.enabled else 0.0
 
-    word_rows = [list(state_words)]
-    states = [dict(zip(state_lines, state_words))]
     switching = np.zeros((length, n_lanes), dtype=np.int64)
-    prev_arr: np.ndarray | None = None
+    byte_planes = n_lanes <= BYTE_PLANE_LANES
+    if byte_planes:
+        plane = int.from_bytes(b"\x01" * n_lines, "little")
+        lanes = range(n_lanes)
+        toggle_rows: list[list[int]] = []
+        prev = -1
+    else:
+        prev_arr: np.ndarray | None = None
+    word_rows = [list(state_words)]
+    # One frame serves every cycle: each evaluation overwrites all sources
+    # and every gate slot.
     values: list[int] = cc.zero_frame()
     for cycle in range(length):
-        values = cc.zero_frame()
         values[0:n_inputs] = pi_word_rows[cycle]
         values[n_inputs:n_sources] = state_words
         cc.eval_words(values, mask)
         counted = values if count_idx is None else [values[i] for i in count_idx]
-        cur_arr = np.fromiter(counted, dtype=np.uint64, count=n_lines)
-        if prev_arr is not None:
-            diff = prev_arr ^ cur_arr
-            bits = np.unpackbits(diff.view(np.uint8), bitorder="little")
-            counts = bits.reshape(n_lines, 64).sum(axis=0)
-            switching[cycle] = counts[:n_lanes]
-        prev_arr = cur_arr
+        if byte_planes:
+            cur = int.from_bytes(bytes(counted), "little")
+            if prev >= 0:
+                diff = prev ^ cur
+                toggle_rows.append([((diff >> lane) & plane).bit_count() for lane in lanes])
+            prev = cur
+        else:
+            cur_arr = np.fromiter(counted, dtype=np.uint64, count=n_lines)
+            if prev_arr is not None:
+                diff_arr = prev_arr ^ cur_arr
+                bits = np.unpackbits(diff_arr.view(np.uint8), bitorder="little")
+                counts = bits.reshape(n_lines, 64).sum(axis=0)
+                switching[cycle] = counts[:n_lanes]
+            prev_arr = cur_arr
         nxt = [values[i] for i in ns_indices]
         if hold_indices and cycle % hold_period == 0:
             for k in hold_indices:
                 nxt[k] = state_words[k]
         state_words = nxt
         word_rows.append(state_words)
-        states.append(dict(zip(state_lines, state_words)))
+    if byte_planes and toggle_rows:
+        switching[1:] = toggle_rows
     if OBS.enabled:
         # One record per packed run: the kernel itself stays untouched.
         OBS.count("bitsim.packed_runs")
@@ -294,11 +329,10 @@ def _run_packed(
         OBS.observe("kernel.lanes_per_invocation", n_lanes)
         OBS.observe("span.bitsim.packed_run", time.perf_counter() - t_start)
     return PackedSequenceResult(
-        states=states,
+        state_words=word_rows,
         switching_counts=switching,
         n_lanes=n_lanes,
-        final_line_values=cc.as_dict(values),
-        state_words=word_rows,
+        state_lines=tuple(cc.circuit.state_lines),
     )
 
 
@@ -378,6 +412,7 @@ def simulate_packed_words(
             f"initial state has {len(initial_state)} bits, "
             f"circuit has {cc.n_state} flops"
         )
+    mask = (1 << n_lanes) - 1
     for i, row in enumerate(pi_word_rows):
         if len(row) != cc.n_inputs:
             raise ValueError(
@@ -385,7 +420,11 @@ def simulate_packed_words(
                 f"input words, circuit {circuit.name!r} has {cc.n_inputs} "
                 "primary inputs"
             )
-    mask = (1 << n_lanes) - 1
+        if row and max(row) > mask:
+            raise ValueError(
+                f"simulate_packed_words: pi_word_rows[{i}] sets a bit at or "
+                f"above lane {n_lanes}"
+            )
     count_idx = (
         None if count_lines is None else [cc.index[line] for line in count_lines]
     )

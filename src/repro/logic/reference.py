@@ -7,8 +7,9 @@ byte-for-byte simple -- one dict lookup per gate input, `Circuit.topo_gates`
 walked per call -- and serve two purposes:
 
 * **oracle**: ``tests/test_compiled.py`` property-checks the compiled
-  scalar kernel, the bit-parallel word kernel, and the PPSFP fault-grading
-  verdicts against these functions on random circuits;
+  scalar kernel, the bit-parallel word kernel, the event-driven PPSFP
+  cone walk (against the static-cone walk it replaced) and the PPSFP
+  fault-grading verdicts against these functions on random circuits;
 * **baseline**: ``benchmarks/bench_kernel.py`` times them against the
   compiled paths to track the repository's performance trajectory.
 
@@ -21,6 +22,7 @@ from typing import Mapping, Sequence
 
 from repro.circuits.gates import evaluate
 from repro.circuits.netlist import Circuit
+from repro.core.compiled import _FAM_AND, _FAM_OR, _FAM_XOR, CompiledCircuit
 from repro.faults.models import TransitionFault
 from repro.logic.patterns import BroadsideTest
 from repro.logic.simulator import SequenceResult
@@ -154,3 +156,44 @@ def grade_transition_faults_reference(
                 detected.add(fault)
                 break
     return detected
+
+
+def faulty_cone_words_reference(
+    compiled: CompiledCircuit,
+    good_values: Sequence[int],
+    line_index: int,
+    forced_word: int,
+    mask: int,
+) -> dict[int, int]:
+    """Static-cone PPSFP injection: every gate of the fanout cone, in order.
+
+    The pre-event-driven :meth:`repro.core.compiled.CompiledCircuit.
+    faulty_cone_words`: re-evaluates ``line_index``'s whole transitive
+    fanout cone in schedule order, even after the fault effect has died
+    out, and returns the same sparse map -- the forced line plus exactly
+    the cone gates whose word diverges from ``good_values``.
+    """
+    entries, _ = compiled.cone(line_index)
+    faulty: dict[int, int] = {line_index: forced_word & mask}
+    get = faulty.get
+    for out, family, inv, fis in entries:
+        words = [get(f, good_values[f]) for f in fis]
+        if family == _FAM_AND:
+            w = mask
+            for v in words:
+                w &= v
+        elif family == _FAM_OR:
+            w = 0
+            for v in words:
+                w |= v
+        elif family == _FAM_XOR:
+            w = 0
+            for v in words:
+                w ^= v
+        else:
+            w = words[0]
+        if inv:
+            w ^= mask
+        if w != good_values[out]:
+            faulty[out] = w
+    return faulty

@@ -101,27 +101,55 @@ def _forced_scalar(circuit, inputs, line, value):
     return values
 
 
+#: Lane counts on both sides of bitsim.BYTE_PLANE_LANES: byte-plane
+#: toggle counting up to 8 lanes, the uint64 unpack path above.
+LANE_WIDTHS = [1, 8, 9, 64]
+
+#: Switching counted over every line, or over a count_lines subset.
+COUNT_SETS = pytest.mark.parametrize("subset", [False, True], ids=["all", "subset"])
+
+
+def _count_lines(c, subset):
+    """Every line, or a deterministic half of them (order scrambled)."""
+    if not subset:
+        return None
+    return random.Random(4).sample(c.lines, c.num_lines // 2)
+
+
+def _assert_lane_matches_scalar(packed, c, lane, scalar, count_lines, length):
+    """Lane ``lane`` of a packed run == one scalar simulate_sequence run."""
+    assert packed.lane_states(lane, length) == [tuple(s) for s in scalar.states]
+    for cyc in range(length + 1):
+        assert lane_state(packed.states, c, cyc, lane) == tuple(scalar.states[cyc])
+    counted = c.lines if count_lines is None else count_lines
+    values = scalar.line_values
+    pct = packed.switching_percent(c.num_lines)
+    assert packed.switching_counts[0, lane] == 0
+    for cyc in range(1, length):
+        expect = sum(values[cyc][x] != values[cyc - 1][x] for x in counted)
+        assert packed.switching_counts[cyc, lane] == expect, (lane, cyc)
+        if count_lines is None:
+            assert pct[cyc, lane] == pytest.approx(scalar.switching[cyc])
+
+
 class TestPackedSequences:
-    def test_matches_scalar_states_and_switching(self):
+    @COUNT_SETS
+    @pytest.mark.parametrize("lanes", LANE_WIDTHS)
+    def test_matches_scalar_states_and_switching(self, lanes, subset):
         c = get_circuit("s298")
         rng = random.Random(2)
-        lanes = 5
         length = 12
         states0 = [[rng.randint(0, 1) for _ in c.flops] for _ in range(lanes)]
         seqs = [
             [[rng.randint(0, 1) for _ in c.inputs] for _ in range(length)]
             for _ in range(lanes)
         ]
-        packed = simulate_sequences_packed(c, states0, seqs)
+        count_lines = _count_lines(c, subset)
+        packed = simulate_sequences_packed(c, states0, seqs, count_lines=count_lines)
+        assert packed.switching_counts.shape == (length, lanes)
         for k in range(lanes):
             scalar = simulate_sequence(c, states0[k], seqs[k])
-            for cyc in range(length + 1):
-                assert lane_state(packed.states, c, cyc, k) == tuple(
-                    scalar.states[cyc]
-                )
-            pct = packed.switching_percent(c.num_lines)
-            for cyc in range(1, length):
-                assert pct[cyc, k] == pytest.approx(scalar.switching[cyc])
+            _assert_lane_matches_scalar(packed, c, k, scalar, count_lines, length)
 
     def test_lane_limit(self):
         c = get_circuit("s27")
@@ -187,11 +215,13 @@ class TestWordHelpers:
 
 
 class TestPackedWords:
-    def test_matches_scalar_per_lane(self):
+    @COUNT_SETS
+    @pytest.mark.parametrize("lanes", LANE_WIDTHS)
+    def test_matches_scalar_per_lane(self, lanes, subset):
         """simulate_packed_words from one shared state == per-lane scalar."""
         c = get_circuit("s298")
         rng = random.Random(3)
-        lanes, length = 6, 10
+        length = 10
         init = [rng.randint(0, 1) for _ in c.flops]
         seqs = [
             [[rng.randint(0, 1) for _ in c.inputs] for _ in range(length)]
@@ -204,15 +234,14 @@ class TestPackedWords:
             ]
             for cyc in range(length)
         ]
-        packed = simulate_packed_words(c, init, pi_rows, lanes)
-        pct = packed.switching_percent(c.num_lines)
+        count_lines = _count_lines(c, subset)
+        packed = simulate_packed_words(
+            c, init, pi_rows, lanes, count_lines=count_lines
+        )
+        assert packed.switching_counts.shape == (length, lanes)
         for t in range(lanes):
             scalar = simulate_sequence(c, init, seqs[t])
-            assert packed.lane_states(t, length) == [
-                tuple(s) for s in scalar.states
-            ]
-            for cyc in range(1, length):
-                assert pct[cyc, t] == pytest.approx(scalar.switching[cyc])
+            _assert_lane_matches_scalar(packed, c, t, scalar, count_lines, length)
 
     def test_hold_matches_scalar_holding(self):
         """Packed hold-indices semantics == simulate_with_holding."""
@@ -258,3 +287,11 @@ class TestPackedWordsValidation:
         assert "pi_word_rows[1]" in msg
         assert f"{len(c.inputs) + 1} input words" in msg
         assert "s27" in msg
+
+    def test_word_wider_than_lanes_names_row(self):
+        c = get_circuit("s27")
+        row = [0] * len(c.inputs)
+        wide = [0b100] + [0] * (len(c.inputs) - 1)
+        msg = r"pi_word_rows\[1\] sets a bit at or above lane 2"
+        with pytest.raises(ValueError, match=msg):
+            simulate_packed_words(c, [0] * len(c.flops), [row, wide], 2)

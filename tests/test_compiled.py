@@ -4,15 +4,18 @@ The compiled kernels (`repro.core.compiled`) are the shared evaluation
 core under every simulator, so they are checked here against the
 pre-refactor dict-based reference (`repro.logic.reference`) on random
 circuits from the generator: scalar three-valued agreement (including
-X-propagation), bit-parallel agreement, fault-detection verdict agreement,
-and compile-cache invalidation after netlist mutation.
+X-propagation), bit-parallel agreement, event-driven PPSFP cone maps
+against the static-cone walk, fault-detection verdict agreement, and
+compile-cache invalidation after netlist mutation.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits.benchmarks import get_circuit
 from repro.circuits.generator import GeneratorSpec, generate
 from repro.core.compiled import compile_circuit
 from repro.faults.fsim import TransitionFaultSimulator
@@ -20,6 +23,7 @@ from repro.faults.lists import all_transition_faults
 from repro.logic.bitsim import PatternSimulator, pack_vectors
 from repro.logic.reference import (
     detects_transition_reference,
+    faulty_cone_words_reference,
     simulate_comb_reference,
     simulate_sequence_reference,
 )
@@ -170,6 +174,48 @@ class TestBitParallelAgreement:
             scalar = simulate_comb_reference(c, dict(zip(c.comb_input_lines, vec)))
             for line in c.lines:
                 assert (packed[line] >> t) & 1 == scalar[line], (line, t)
+
+
+def _random_good_frame(cc, rng, lanes):
+    """A consistent fault-free word frame over random source words."""
+    mask = (1 << lanes) - 1
+    values = cc.zero_frame()
+    for i in range(cc.n_sources):
+        values[i] = rng.getrandbits(lanes)
+    return cc.eval_words(values, mask), mask
+
+
+def _assert_cone_maps_match(cc, good, mask, rng):
+    """Event-driven == static-cone sparse map on every line.
+
+    Forces each line to both stuck values and to one random word.
+    """
+    for line in range(cc.num_lines):
+        for forced in (0, mask, rng.getrandbits(mask.bit_length())):
+            got = cc.faulty_cone_words(good, line, forced, mask)
+            ref = faulty_cone_words_reference(cc, good, line, forced, mask)
+            assert got == ref, (cc.names[line], forced)
+
+
+class TestEventDrivenCone:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 9),
+        lanes=st.integers(1, 64),
+        frame_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_static_cone_walk(self, seed, lanes, frame_seed):
+        cc = compile_circuit(random_circuit(seed))
+        rng = random.Random(frame_seed)
+        good, mask = _random_good_frame(cc, rng, lanes)
+        _assert_cone_maps_match(cc, good, mask, rng)
+
+    @pytest.mark.parametrize("name", ["s298", "s953", "s1423"])
+    def test_benchmark_circuits_match_static_cone_walk(self, name):
+        cc = compile_circuit(get_circuit(name))
+        rng = random.Random(11)
+        good, mask = _random_good_frame(cc, rng, 64)
+        _assert_cone_maps_match(cc, good, mask, rng)
 
 
 class TestFaultVerdictAgreement:
