@@ -43,7 +43,7 @@ from repro.bist.tpg import DevelopedTpg
 from repro.circuits.netlist import Circuit
 from repro.circuits.scan import ScanChains
 from repro.core.compiled import compile_circuit
-from repro.faults.fsim import FaultGrader, compact_groups
+from repro.faults.fsim import BroadsideFrame, FaultGrader, compact_groups
 from repro.faults.models import TransitionFault
 from repro.logic.bitsim import pack_bits, simulate_packed_words, unpack_lane_bits
 from repro.logic.patterns import BroadsideTest
@@ -93,13 +93,15 @@ class MultiSegmentSequence:
 class BuiltinGenConfig:
     """Tunable parameters of the construction procedure.
 
-    ``batched``/``batch_lanes`` control the packed seed-trial engine: per
-    decision point, up to ``min(batch_lanes, 64, R - current failures)``
-    candidate seeds are drawn, expanded, and simulated as bit lanes of one
-    packed run.  The accepted segments are bit-identical to the scalar
-    one-seed-at-a-time loop for the same ``rng_seed`` (the random stream
-    is rewound past speculatively drawn seeds), so batching is purely a
-    throughput knob.
+    ``batched`` selects the packed seed-trial engine: every decision point
+    draws ``min(batch_lanes, 64, R - current failures)`` candidate seeds
+    and expands, simulates and grades them as bit lanes of one packed run
+    -- a single remaining failure (``R = 1``, the Fig 4.12 probes)
+    included, which is a 1-lane run.  ``batch_lanes`` (at least 1) only
+    caps that width.  The accepted segments are bit-identical to the
+    scalar one-seed-at-a-time loop (``batched=False``, the oracle) for the
+    same ``rng_seed`` (the random stream is rewound past speculatively
+    drawn seeds), so batching is purely a throughput knob.
 
     ``grade_shards``/``grade_jobs`` likewise are pure throughput knobs:
     with ``grade_shards > 1`` the grader partitions its fault frontier
@@ -121,6 +123,10 @@ class BuiltinGenConfig:
     grade_shards: int = 1  # fault shards per PPSFP preview (1 = serial)
     grade_jobs: int | None = None  # grading workers (default: one per shard)
 
+    def __post_init__(self) -> None:
+        if self.batch_lanes < 1:
+            raise ValueError(f"batch_lanes must be >= 1, got {self.batch_lanes}")
+
 
 @dataclass
 class GenStats:
@@ -128,7 +134,7 @@ class GenStats:
 
     seeds_evaluated: int = 0  # candidate seeds consumed by Fig 4.9 decisions
     seeds_accepted: int = 0  # seeds that became segments
-    packed_batches: int = 0  # multi-lane packed simulations run
+    packed_batches: int = 0  # packed simulations run (1 to 64 lanes each)
     scalar_trials: int = 0  # candidates evaluated through the scalar path
 
 
@@ -348,14 +354,14 @@ class BuiltinGenerator:
         r_failures = 0
         # The pattern-of-signal-transitions bound needs full per-cycle line
         # valuations, which the packed path does not retain.
-        use_batch = cfg.batched and cfg.batch_lanes > 1 and self.pattern_bank is None
+        use_batch = cfg.batched and self.pattern_bank is None
         seeds_tried_this_segment = 0
         while r_failures < cfg.r_limit:
             if deadline and time.monotonic() > deadline:
                 break
-            # Packed words carry at most 64 lanes.
-            width = min(64, cfg.batch_lanes, cfg.r_limit - r_failures) if use_batch else 1
-            if width > 1:
+            if use_batch:
+                # Packed words carry at most 64 lanes.
+                width = min(64, cfg.batch_lanes, cfg.r_limit - r_failures)
                 failures, accepted = self._trial_batch(state, width, hold_set)
             else:
                 failures, accepted = self._trial_single(state, hold_set)
@@ -393,10 +399,13 @@ class BuiltinGenerator:
 
     # -- candidate evaluation: one seed, scalar trajectory ---------------
     def _trial_single(self, state: Sequence[int], hold_set: Sequence[str] | None):
-        """Draw and evaluate one seed the Fig 4.9 way.
+        """Draw and evaluate one seed the Fig 4.9 way, scalar.
 
-        Returns ``(failures, acceptance)``: ``(1, None)`` for a failing
-        seed, ``(0, (...))`` with the acceptance payload otherwise.
+        Reached only with ``batched=False`` -- the oracle the packed
+        engine is pinned against -- or with a ``pattern_bank``, whose
+        truncation rule needs full per-cycle line valuations.  Returns
+        ``(failures, acceptance)``: ``(1, None)`` for a failing seed,
+        ``(0, (...))`` with the acceptance payload otherwise.
         """
         cfg = self.config
         seed = self.rng.getrandbits(self.tpg.n_lfsr) or 1
@@ -425,7 +434,7 @@ class BuiltinGenerator:
         seg_peak = max(result.switching[1:length], default=0.0)
         return 0, (seed, length, seg_tests, newly, seg_peak, result.states[length])
 
-    # -- candidate evaluation: up to 64 seeds, packed lanes --------------
+    # -- candidate evaluation: 1 to 64 seeds, packed lanes ---------------
     def _trial_batch(
         self, state: Sequence[int], width: int, hold_set: Sequence[str] | None
     ):
@@ -437,7 +446,11 @@ class BuiltinGenerator:
         beyond the stopping point were drawn speculatively, so the random
         stream is rewound and re-advanced by only the consumed draws --
         the next decision point sees the same stream the scalar loop
-        would.  Returns ``(failures_before_acceptance, acceptance|None)``.
+        would.  Candidates stay lane-packed throughout: each surviving
+        lane is graded as a :class:`repro.faults.fsim.BroadsideFrame`
+        sliced from the transposed trajectory, and only the accepted
+        lane's tests become :class:`BroadsideTest` objects.  Returns
+        ``(failures_before_acceptance, acceptance|None)``.
         """
         cfg = self.config
         n_bits = self.tpg.n_lfsr
@@ -471,11 +484,10 @@ class BuiltinGenerator:
         lengths = self._lane_lengths(pcts)
         survivors = [lane for lane in range(width) if lengths[lane] >= cfg.spacing]
         # One bit-transpose of the whole trajectory serves every lane's
-        # test extraction: axis 2 is the lane, so a lane's states/PIs are
-        # a contiguous slice instead of per-word Python bit picking.
+        # test frame: axis 2 is the lane, so a lane's states/PIs are a
+        # slice instead of per-word Python bit picking.
         state_bits = unpack_lane_bits(packed.state_words, width)
         pi_bits = unpack_lane_bits(pi_rows, width)
-        lane_tests: dict[int, list[BroadsideTest]] = {}
         lane_newly: dict[int, set[TransitionFault]] = {}
         failures = 0
         accepted = None
@@ -488,18 +500,19 @@ class BuiltinGenerator:
                 continue
             if lane not in lane_newly:
                 block = [k for k in survivors if k >= lane][:GRADE_BLOCK_LANES]
-                for k in block:
-                    lane_tests[k] = self._lane_tests(
-                        state_bits, pi_bits, k, lengths[k]
+                frames = [
+                    BroadsideFrame.from_trajectory(
+                        state_bits[: lengths[k] + 1, :, k],
+                        pi_bits[: lengths[k], :, k],
+                        cfg.spacing,
                     )
+                    for k in block
+                ]
                 if obs.OBS.enabled:
                     obs.count("gen.grade_blocks")
                     obs.observe("gen.lanes_per_grade_block", len(block))
                 with obs.span("gen.grade", lanes=len(block)):
-                    for k, newly in zip(
-                        block,
-                        self.grader.preview_groups([lane_tests[k] for k in block]),
-                    ):
+                    for k, newly in zip(block, self.grader.preview_groups(frames)):
                         lane_newly[k] = newly
             newly = lane_newly[lane]
             if not newly:
@@ -508,7 +521,8 @@ class BuiltinGenerator:
             seg_vals = pcts[1:length, lane]
             seg_peak = float(seg_vals.max()) if seg_vals.size else 0.0
             end_state = tuple((w >> lane) & 1 for w in packed.state_words[length])
-            accepted = (seeds[lane], length, lane_tests[lane], newly, seg_peak, end_state)
+            seg_tests = self._lane_tests(state_bits, pi_bits, lane, length)
+            accepted = (seeds[lane], length, seg_tests, newly, seg_peak, end_state)
             break
         self.stats.seeds_evaluated += scanned
         obs.count("gen.seeds_evaluated", scanned)
@@ -575,7 +589,7 @@ class BuiltinGenerator:
         lane: int,
         length: int,
     ) -> list[BroadsideTest]:
-        """Extract one lane's broadside tests from the transposed bits."""
+        """Extract the accepted lane's broadside tests from the transposed bits."""
         states = [tuple(row) for row in state_bits[: length + 1, :, lane].tolist()]
         pis = pi_bits[:length, :, lane].tolist()
         trajectory = SequenceResult(states=states, line_values=[], switching=[])

@@ -11,7 +11,12 @@ bounds the switching activity allowed during on-chip test generation.
 * :func:`compose` builds the combined ``driver -> target`` netlist.
 * :func:`estimate_swa_func` simulates functional input sequences (by
   default 30 TPG-generated sequences, as in Section 4.6) through the
-  composition and returns the target-local peak SWA.
+  composition and returns the target-local peak SWA.  The sequences stay
+  lane-packed from the TPG to the switching counts: the driving block's
+  TPG expands every seed at once
+  (:meth:`repro.bist.tpg.DevelopedTpg.sequence_batch`) and, since every
+  lane starts from the all-0 state, the packed rows feed
+  :func:`repro.logic.bitsim.simulate_packed_words` as they are.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from repro.bist.tpg import DevelopedTpg
 from repro.circuits.benchmarks import make_buffers_block
 from repro.circuits.netlist import Circuit
-from repro.logic.bitsim import simulate_sequences_packed
+from repro.logic.bitsim import simulate_packed_words
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,14 @@ class SwaFuncEstimate:
     length: int
 
 
+def functional_seeds(n_sequences: int, base_seed: int = 0xC0FFEE) -> list[int]:
+    """The LFSR seeds of the ``n_sequences`` functional input sequences."""
+    return [
+        (base_seed + 0x9E3779B9 * (k + 1)) & 0xFFFFFFFF or 1
+        for k in range(n_sequences)
+    ]
+
+
 def estimate_swa_func(
     design: ComposedDesign,
     n_sequences: int = 30,
@@ -106,21 +119,25 @@ def estimate_swa_func(
     Per Section 4.6, the functional input sequences are produced by the
     TPG designed for the *driving block* (for the ``buffers`` driver this
     degenerates to the target's own TPG); both blocks start from the all-0
-    state.  Sequences are packed into bit lanes, so the default 30
-    sequences cost a single simulation pass.
+    state.  The TPG expands all sequences as bit lanes of one set of
+    packed rows (``tpg.sequence_batch``), which one packed simulation
+    from the shared all-0 state consumes directly: the default 30
+    sequences cost a single pass, with no per-seed expansion and no
+    per-cycle re-packing.  Equal, sequence by sequence, to scalar
+    expansion plus :func:`repro.logic.bitsim.simulate_sequences_packed`
+    (:func:`repro.logic.reference.estimate_swa_func_reference`).
     """
     if n_sequences > 64:
         raise ValueError("at most 64 packed functional sequences")
+    if n_sequences < 1:
+        raise ValueError(f"need at least one functional sequence, got {n_sequences}")
     tpg = tpg or DevelopedTpg.for_circuit(design.driver)
-    sequences = []
-    for k in range(n_sequences):
-        seed = (base_seed + 0x9E3779B9 * (k + 1)) & 0xFFFFFFFF or 1
-        sequences.append(tpg.sequence(seed, length))
-    zero = [0] * len(design.circuit.flops)
-    result = simulate_sequences_packed(
+    rows = tpg.sequence_batch(functional_seeds(n_sequences, base_seed), length)
+    result = simulate_packed_words(
         design.circuit,
-        [zero] * n_sequences,
-        sequences,
+        [0] * len(design.circuit.flops),
+        rows,
+        n_sequences,
         count_lines=design.target_lines,
     )
     percent = result.switching_percent(len(design.target_lines))

@@ -18,6 +18,15 @@ are flat arrays, a fault whose fanout cone reaches no observation line
 is skipped unsimulated, and detection is read from the diverged lines
 that are observation points.
 
+The unit PPSFP grades is a :class:`BroadsideFrame`: a block of tests as
+0/1 ``(tests x sources)`` arrays, whose columns pack straight into the
+per-line words of a chunk.  The batched Fig 4.9 loop
+(:mod:`repro.core.builtin_gen`) slices its candidate lanes' frames out
+of the bit-transposed packed trajectory and builds
+:class:`repro.logic.patterns.BroadsideTest` objects only for the lane it
+accepts; every entry point that takes a test list converts it to a frame
+at its edge, so one chunk body grades everything.
+
 Fault-parallel grading: :class:`FaultGrader` optionally partitions its
 undetected-fault frontier into contiguous *shards* and grades them over
 the execution plane (:mod:`repro.exec`) -- by default a persistent
@@ -38,7 +47,9 @@ from __future__ import annotations
 
 import multiprocessing as mp
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from repro import obs
 from repro.circuits.netlist import Circuit
@@ -46,6 +57,7 @@ from repro.core.compiled import CompiledCircuit, compile_circuit
 from repro.faults.models import StuckAtFault, TransitionFault
 from repro.logic.bitsim import pack_columns_indexed
 from repro.logic.patterns import BroadsideTest, Pattern
+from repro.logic.simulator import launch_cycles
 from repro.obs import OBS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,6 +87,84 @@ def _pack_frame(
     return values
 
 
+def _rows(vectors: Sequence[Sequence[int]], width: int) -> np.ndarray:
+    """``vectors`` as a ``(len(vectors), width)`` uint8 array."""
+    if not len(vectors):
+        return np.zeros((0, width), dtype=np.uint8)
+    return np.asarray(vectors, dtype=np.uint8)
+
+
+@dataclass(frozen=True, eq=False)
+class BroadsideFrame:
+    """A block of broadside tests as 0/1 arrays: the unit PPSFP grades.
+
+    Row ``t`` of the ``(tests x state lines)`` arrays ``s1``/``s2`` and
+    the ``(tests x primary inputs)`` arrays ``v1``/``v2`` is test ``t``'s
+    ``<s1, v1, s2, v2>``.  A PPSFP chunk packs each array's columns into
+    per-line words with one :func:`repro.logic.bitsim.pack_columns_indexed`,
+    so a frame never passes through per-test tuples.  ``len(frame)`` is
+    its test count.
+    """
+
+    s1: np.ndarray
+    v1: np.ndarray
+    s2: np.ndarray
+    v2: np.ndarray
+
+    def __len__(self) -> int:
+        """Number of tests in the frame."""
+        return len(self.s1)
+
+    def __getitem__(self, rows: slice) -> "BroadsideFrame":
+        """The frame of the tests in ``rows``."""
+        return BroadsideFrame(self.s1[rows], self.v1[rows], self.s2[rows], self.v2[rows])
+
+    @classmethod
+    def from_tests(
+        cls, tests: Sequence[BroadsideTest], n_inputs: int, n_state: int
+    ) -> "BroadsideFrame":
+        """The frame of a test list (the edge of every list entry point)."""
+        return cls(
+            _rows([t.s1 for t in tests], n_state),
+            _rows([t.v1 for t in tests], n_inputs),
+            _rows([t.s2 for t in tests], n_state),
+            _rows([t.v2 for t in tests], n_inputs),
+        )
+
+    @classmethod
+    def from_trajectory(
+        cls, states: np.ndarray, pis: np.ndarray, spacing: int = 2
+    ) -> "BroadsideFrame":
+        """The tests of one trajectory, as :func:`repro.logic.simulator.
+        extract_tests_from_sequence` takes them.
+
+        ``states`` is the ``(cycles + 1, state lines)`` 0/1 array of
+        ``s(0) .. s(L)`` and ``pis`` the ``(cycles, primary inputs)`` array
+        of ``p(0) .. p(L-1)``: one lane's slices of
+        :func:`repro.logic.bitsim.unpack_lane_bits`.
+        """
+        cycles = np.fromiter(
+            launch_cycles(len(pis), len(states), spacing), dtype=np.intp
+        )
+        return cls(states[cycles], pis[cycles], states[cycles + 1], pis[cycles + 1])
+
+    @classmethod
+    def concat(cls, frames: Sequence["BroadsideFrame"]) -> "BroadsideFrame":
+        """One frame holding ``frames``' tests in order."""
+        if len(frames) == 1:
+            return frames[0]
+        return cls(
+            *(
+                np.concatenate([getattr(f, part) for f in frames])
+                for part in ("s1", "v1", "s2", "v2")
+            )
+        )
+
+
+#: What the grading entry points accept: a test list or a frame of one.
+Tests = Union[Sequence[BroadsideTest], BroadsideFrame]
+
+
 class TransitionFaultSimulator:
     """Grades transition faults against broadside test sets."""
 
@@ -90,13 +180,21 @@ class TransitionFaultSimulator:
         ]
 
     # ------------------------------------------------------------------
+    def frame(self, tests: Tests) -> BroadsideFrame:
+        """``tests`` as a :class:`BroadsideFrame` (a frame passes through)."""
+        if isinstance(tests, BroadsideFrame):
+            return tests
+        cc = self.compiled
+        return BroadsideFrame.from_tests(tests, cc.n_inputs, cc.n_state)
+
     def detection_words(
-        self, tests: Sequence[BroadsideTest], faults: Sequence[TransitionFault]
+        self, tests: Tests, faults: Sequence[TransitionFault]
     ) -> dict[TransitionFault, int]:
         """Per-fault detection word: bit ``t`` set iff test ``t`` detects it."""
+        frame = self.frame(tests)
         words = dict.fromkeys(faults, 0)
-        for offset in range(0, len(tests), self.chunk_size):
-            chunk = tests[offset : offset + self.chunk_size]
+        for offset in range(0, len(frame), self.chunk_size):
+            chunk = frame[offset : offset + self.chunk_size]
             chunk_words = self._simulate_chunk(chunk, faults)
             for fault, w in chunk_words.items():
                 if w:
@@ -104,15 +202,16 @@ class TransitionFaultSimulator:
         return words
 
     def detected_faults(
-        self, tests: Sequence[BroadsideTest], faults: Sequence[TransitionFault]
+        self, tests: Tests, faults: Sequence[TransitionFault]
     ) -> set[TransitionFault]:
         """Faults detected by at least one test."""
+        frame = self.frame(tests)
         remaining = list(faults)
         detected: set[TransitionFault] = set()
-        for offset in range(0, len(tests), self.chunk_size):
+        for offset in range(0, len(frame), self.chunk_size):
             if not remaining:
                 break
-            chunk = tests[offset : offset + self.chunk_size]
+            chunk = frame[offset : offset + self.chunk_size]
             chunk_words = self._simulate_chunk(chunk, remaining)
             newly = {f for f, w in chunk_words.items() if w}
             detected |= newly
@@ -125,15 +224,16 @@ class TransitionFaultSimulator:
 
     # ------------------------------------------------------------------
     def _simulate_chunk(
-        self, tests: Sequence[BroadsideTest], faults: Sequence[TransitionFault]
+        self, frame: BroadsideFrame, faults: Sequence[TransitionFault]
     ) -> dict[TransitionFault, int]:
-        if not tests:
+        """The PPSFP body: per-fault detection words of one chunk's tests."""
+        n = len(frame)
+        if not n:
             return dict.fromkeys(faults, 0)
-        n = len(tests)
         mask = (1 << n) - 1
         cc = self.compiled
-        good1 = _pack_frame(cc, [t.v1 for t in tests], [t.s1 for t in tests], mask)
-        good2 = _pack_frame(cc, [t.v2 for t in tests], [t.s2 for t in tests], mask)
+        good1 = _pack_frame(cc, frame.v1, frame.s1, mask)
+        good2 = _pack_frame(cc, frame.v2, frame.s2, mask)
         index = cc.index
         observed = cc._observed
         out: dict[TransitionFault, int] = {}
@@ -245,7 +345,7 @@ _WORKER_SIMULATORS: dict[tuple[str, str], TransitionFaultSimulator] = {}
 def _grade_shard(
     bench_text: str,
     circuit_name: str,
-    tests: Sequence[BroadsideTest],
+    tests: Tests,
     faults: Sequence[TransitionFault],
     group_sizes: Sequence[int],
 ) -> list[set[TransitionFault]]:
@@ -338,17 +438,11 @@ class FaultGrader:
             self._pool.close()
             self._pool = None
 
-    def preview(self, tests: Sequence[BroadsideTest]) -> set[TransitionFault]:
+    def preview(self, tests: Tests) -> set[TransitionFault]:
         """Faults the tests would newly detect, *without* dropping them."""
-        if not tests or not self.remaining:
-            return set()
-        if self._use_shards():
-            return self._preview_sharded([list(tests)])[0]
-        return self.simulator.detected_faults(tests, self.remaining)
+        return self.preview_groups([tests])[0]
 
-    def preview_groups(
-        self, test_groups: Sequence[Sequence[BroadsideTest]]
-    ) -> list[set[TransitionFault]]:
+    def preview_groups(self, test_groups: Sequence[Tests]) -> list[set[TransitionFault]]:
         """Per-group :meth:`preview` sets, graded in one PPSFP pass.
 
         The batched Fig 4.9 loop asks the same question for every
@@ -360,16 +454,21 @@ class FaultGrader:
         and the word is split back on the group boundaries.  Each returned
         set equals ``preview(test_groups[k])`` exactly -- grading is
         against the current ``remaining`` frontier with no dropping
-        between groups.
+        between groups.  A group is a test list or a
+        :class:`BroadsideFrame` (the batched loop passes frames).
         """
-        groups = [list(g) for g in test_groups]
-        if not self.remaining or not any(groups):
-            return [set() for _ in groups]
+        frames = [self.simulator.frame(g) for g in test_groups]
+        if not self.remaining or not any(len(f) for f in frames):
+            return [set() for _ in frames]
         if self._use_shards():
-            return self._preview_sharded(groups)
-        flat = [t for g in groups for t in g]
-        words = self.simulator.detection_words(flat, self.remaining)
-        return _split_groups(words, [len(g) for g in groups])
+            return self._preview_sharded(frames)
+        if len(frames) == 1:
+            # One group: drop each chunk's detections before the next.
+            return [self.simulator.detected_faults(frames[0], self.remaining)]
+        words = self.simulator.detection_words(
+            BroadsideFrame.concat(frames), self.remaining
+        )
+        return _split_groups(words, [len(f) for f in frames])
 
     def commit(self, newly_detected: Iterable[TransitionFault]) -> None:
         """Drop faults previously returned by :meth:`preview`."""
@@ -377,7 +476,7 @@ class FaultGrader:
         self.detected |= newly
         self.remaining = [f for f in self.remaining if f not in newly]
 
-    def grade(self, tests: Sequence[BroadsideTest]) -> set[TransitionFault]:
+    def grade(self, tests: Tests) -> set[TransitionFault]:
         """Simulate, drop, and return the newly detected faults."""
         newly = self.preview(tests)
         self.commit(newly)
@@ -430,7 +529,7 @@ class FaultGrader:
         return self._bench_text
 
     def _preview_sharded(
-        self, groups: Sequence[Sequence[BroadsideTest]]
+        self, groups: Sequence[BroadsideFrame]
     ) -> list[set[TransitionFault]]:
         """Fan one grouped preview out over fault shards and merge.
 
@@ -443,7 +542,7 @@ class FaultGrader:
         """
         from repro.resilience.policy import TaskFailure
 
-        flat = [t for g in groups for t in g]
+        flat = BroadsideFrame.concat(groups)
         group_sizes = [len(g) for g in groups]
         shards = partition_shards(self.remaining, self.shards)
         text = self._netlist_text()

@@ -13,14 +13,16 @@ position ``t`` of every line's word carries pattern/lane ``t``:
   Per-cycle, per-lane switching activity is counted on byte planes for
   runs of up to 8 lanes (every word is one byte of a packed integer, so
   a lane's toggles are one ``int.bit_count``) and with a numpy
-  ``unpackbits`` popcount for wider runs, which is what makes Chapter 4's
-  SWA estimation over many LFSR seeds tractable in pure Python.
+  ``unpackbits`` popcount for wider runs, which is what makes switching
+  activity over many sequences tractable in pure Python.
 * :func:`simulate_packed_words` -- the same multi-lane kernel fed with
   *pre-packed* per-input words (one word per input per cycle, bit ``t`` =
   lane ``t``), every lane starting from one shared state, with optional
   lane-wise state holding.  This is the simulation core of the batched
-  Fig 4.9 seed-trial loop (:mod:`repro.core.builtin_gen`), consuming
-  :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch` output directly.
+  Fig 4.9 seed-trial loop (:mod:`repro.core.builtin_gen`) and of the
+  SWA_func estimate (:func:`repro.core.embedded.estimate_swa_func`),
+  consuming :meth:`repro.bist.tpg.DevelopedTpg.sequence_batch` output
+  directly.
 
 All three evaluate through the compiled circuit IR
 (:mod:`repro.core.compiled`): one integer-indexed schedule shared with the
@@ -84,10 +86,10 @@ def pack_columns_indexed(
     :func:`numpy.packbits` (a byte string per column, decoded with
     ``int.from_bytes``) rather than a Python loop over the full
     ``patterns x lines`` grid -- frame packing is the fixed cost of every
-    PPSFP grading chunk.
+    PPSFP grading chunk.  ``vectors`` may be a 0/1 ``uint8`` array
+    already (a :class:`repro.faults.fsim.BroadsideFrame` column block),
+    which is packed without a copy.
     """
-    if not vectors:
-        return
     arr = np.asarray(vectors, dtype=np.uint8)
     if arr.size == 0:
         return

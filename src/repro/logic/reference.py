@@ -9,7 +9,9 @@ walked per call -- and serve two purposes:
 * **oracle**: ``tests/test_compiled.py`` property-checks the compiled
   scalar kernel, the bit-parallel word kernel, the event-driven PPSFP
   cone walk (against the static-cone walk it replaced) and the PPSFP
-  fault-grading verdicts against these functions on random circuits;
+  fault-grading verdicts against these functions on random circuits,
+  and ``tests/test_embedded.py`` pins the lane-packed SWA_func
+  estimate against the per-seed one it replaced;
 * **baseline**: ``benchmarks/bench_kernel.py`` times them against the
   compiled paths to track the repository's performance trajectory.
 
@@ -20,10 +22,13 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro.bist.tpg import DevelopedTpg
 from repro.circuits.gates import evaluate
 from repro.circuits.netlist import Circuit
 from repro.core.compiled import _FAM_AND, _FAM_OR, _FAM_XOR, CompiledCircuit
+from repro.core.embedded import ComposedDesign, SwaFuncEstimate, functional_seeds
 from repro.faults.models import TransitionFault
+from repro.logic.bitsim import simulate_sequences_packed
 from repro.logic.patterns import BroadsideTest
 from repro.logic.simulator import SequenceResult
 from repro.logic.values import X
@@ -197,3 +202,42 @@ def faulty_cone_words_reference(
         if w != good_values[out]:
             faulty[out] = w
     return faulty
+
+
+def estimate_swa_func_reference(
+    design: ComposedDesign,
+    n_sequences: int = 30,
+    length: int = 300,
+    base_seed: int = 0xC0FFEE,
+    tpg: DevelopedTpg | None = None,
+) -> SwaFuncEstimate:
+    """The pre-batching :func:`repro.core.embedded.estimate_swa_func`.
+
+    Expands each functional sequence on its own with the scalar
+    ``tpg.sequence`` and re-packs the lists cycle by cycle through
+    :func:`repro.logic.bitsim.simulate_sequences_packed`, one lane per
+    sequence, instead of stepping every seed together with
+    ``tpg.sequence_batch`` into :func:`repro.logic.bitsim.
+    simulate_packed_words`.
+    """
+    tpg = tpg or DevelopedTpg.for_circuit(design.driver)
+    sequences = [
+        tpg.sequence(seed, length) for seed in functional_seeds(n_sequences, base_seed)
+    ]
+    zero = [0] * len(design.circuit.flops)
+    result = simulate_sequences_packed(
+        design.circuit,
+        [zero] * n_sequences,
+        sequences,
+        count_lines=design.target_lines,
+    )
+    percent = result.switching_percent(len(design.target_lines))
+    peaks = tuple(
+        float(percent[1:, k].max()) if length > 1 else 0.0 for k in range(n_sequences)
+    )
+    return SwaFuncEstimate(
+        swa_func=max(peaks) if peaks else 0.0,
+        per_sequence_peak=peaks,
+        n_sequences=n_sequences,
+        length=length,
+    )

@@ -202,16 +202,28 @@ def extract_tests_from_sequence(
     hardware an overlap would require, tests are taken every ``spacing``
     (= ``2**q``, default 2) cycles.
     """
-    tests: list[BroadsideTest] = []
-    limit = min(len(pi_vectors) - 1, len(result.states) - 2)
-    for i in range(start, limit + 1, spacing):
-        tests.append(
-            BroadsideTest(
-                s1=result.states[i],
-                v1=tuple(pi_vectors[i]),
-                s2=result.states[i + 1],
-                v2=tuple(pi_vectors[i + 1]),
-                source_cycle=i,
-            )
+    return [
+        BroadsideTest(
+            s1=result.states[i],
+            v1=tuple(pi_vectors[i]),
+            s2=result.states[i + 1],
+            v2=tuple(pi_vectors[i + 1]),
+            source_cycle=i,
         )
-    return tests
+        for i in launch_cycles(len(pi_vectors), len(result.states), spacing, start)
+    ]
+
+
+def launch_cycles(
+    n_vectors: int, n_states: int, spacing: int = 2, start: int = 0
+) -> range:
+    """Cycles ``i`` whose tests ``t(i)`` a trajectory yields.
+
+    ``t(i)`` needs ``p(i+1)`` and ``s(i+1)``, so with ``n_vectors``
+    primary input vectors and ``n_states`` states the last ``i`` is at
+    most ``min(n_vectors, n_states) - 2``.  The one rule behind
+    :func:`extract_tests_from_sequence` and the lane-packed test frames
+    of the batched Fig 4.9 loop
+    (:meth:`repro.faults.fsim.BroadsideFrame.from_trajectory`).
+    """
+    return range(start, min(n_vectors, n_states) - 1, spacing)

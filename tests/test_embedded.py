@@ -9,6 +9,7 @@ from repro.core.embedded import (
     compose_with_buffers,
     estimate_swa_func,
 )
+from repro.logic.reference import estimate_swa_func_reference
 from repro.logic.simulator import simulate_sequence
 
 
@@ -93,6 +94,34 @@ class TestSwaFunc:
         design = compose_with_buffers(target)
         with pytest.raises(ValueError):
             estimate_swa_func(design, n_sequences=65, length=10)
+
+    def test_no_sequences_rejected(self):
+        design = compose_with_buffers(get_circuit("s27"))
+        with pytest.raises(ValueError, match="at least one"):
+            estimate_swa_func(design, n_sequences=0, length=10)
+
+    @pytest.mark.parametrize(
+        "driver, target, n_sequences, length",
+        [
+            ("s953", "s1423", 30, 300),  # the defaults, on the gen-s1423 pair
+            ("s641", "s386", 16, 120),  # a Chapter 4 pair at table settings
+            ("buffers", "s298", 16, 120),  # the unconstrained column
+            ("buffers", "s27", 3, 1),  # a single cycle: no defined SWA
+        ],
+    )
+    def test_matches_per_seed_oracle(self, driver, target, n_sequences, length):
+        """Lane-packed expansion equals per-seed expansion, sequence by sequence."""
+        target_c = get_circuit(target)
+        if driver == "buffers":
+            design = compose_with_buffers(target_c)
+            tpg = DevelopedTpg.for_circuit(target_c)
+        else:
+            design = compose(get_circuit(driver), target_c)
+            tpg = None
+        packed = estimate_swa_func(design, n_sequences, length, tpg=tpg)
+        oracle = estimate_swa_func_reference(design, n_sequences, length, tpg=tpg)
+        assert packed.per_sequence_peak == oracle.per_sequence_peak
+        assert packed == oracle
 
     def test_estimate_fields(self):
         target = get_circuit("s27")
